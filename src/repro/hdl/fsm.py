@@ -12,8 +12,10 @@ gives them a common shape:
   inputs, returns the next state) and :meth:`FSM.output` (output logic,
   drives wires as a function of the *current* state and, for Mealy
   outputs, the inputs);
-* both run during the settle phase; the state register commits on the
-  tick like every other register.
+* both run during the settle phase, as two separately scheduled
+  processes (so a comparator can sit between an FSM's outputs and its
+  next-state logic and still settle in one pass); the state register
+  commits on the tick like every other register.
 
 States are interned :class:`State` objects so typos fail fast instead of
 silently creating new states.
@@ -95,12 +97,23 @@ class FSM(Component):
     # -- simulation hooks ------------------------------------------------------
     def settle(self) -> None:
         self.output()
+        self.settle_transition()
+
+    def settle_transition(self) -> None:
+        """Run :meth:`transition` and stage the state it returns."""
         nxt = self.transition()
         if not isinstance(nxt, State):
             raise TypeError(
                 f"{self.name}.transition() must return a State, got {nxt!r}"
             )
         self._state_reg.stage(nxt.code)
+
+    def settle_processes(self) -> Tuple[str, ...]:
+        if type(self).settle is not FSM.settle:
+            return ("settle",)
+        if type(self).output is FSM.output:
+            return ("settle_transition",)
+        return ("output", "settle_transition")
 
     def reset(self) -> None:
         self._state_reg.reset()

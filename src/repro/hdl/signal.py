@@ -5,7 +5,10 @@ synchronous design:
 
 * :class:`Wire` -- a combinational net.  Its value is (re)driven during
   the settle phase of every cycle by exactly one combinational process.
-  Reading an undriven wire returns its ``default``.
+  Reading an undriven wire returns its ``default``.  A wire remembers
+  whether it was read in the current settle pass, so the simulator can
+  tell when a process drove a value that an earlier reader missed (see
+  :mod:`repro.hdl.simulator`).
 * :class:`Reg` -- a clocked register.  Combinational logic *stages* the
   next value via :meth:`Reg.stage`; the simulator commits all staged
   values atomically on the clock edge.  Between edges, reads always
@@ -72,20 +75,22 @@ class Signal:
         """Return the signal to its default value."""
         self._value = self.default
 
+    # the conversions read through ``value`` so that a wire's read is
+    # recorded however it happens
     def __int__(self) -> int:
-        return self._value
+        return self.value
 
     def __bool__(self) -> bool:
-        return bool(self._value)
+        return bool(self.value)
 
     def __index__(self) -> int:
-        return self._value
+        return self.value
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Signal):
-            return self._value == other._value
+            return self.value == other.value
         if isinstance(other, int):
-            return self._value == other
+            return self.value == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -98,46 +103,59 @@ class Signal:
 class Wire(Signal):
     """A combinational net, driven during the settle phase.
 
-    The simulator clears the *driven* flag at the start of each settle
-    phase; a combinational process then calls :meth:`drive`.  Driving a
-    wire twice in one settle pass with different values indicates two
-    processes fighting over the net and raises :class:`SignalError`.
+    The simulator clears the *driven* and *read* flags at the start of
+    each settle pass; a combinational process then calls :meth:`drive`.
+    Driving a wire twice in one settle pass with different values
+    indicates two processes fighting over the net and raises
+    :class:`SignalError`.  A first drive that changes a wire already
+    read in the pass is a *stale read*: the reader saw a value the wire
+    no longer holds, and the wire reports it to its simulator.
     """
 
-    __slots__ = ("_driven",)
+    __slots__ = ("_driven", "_read", "_sim")
 
     def __init__(self, name: str, width: int = 1, default: int = 0) -> None:
         super().__init__(name, width, default)
         self._driven = False
+        self._read = False
+        #: the simulator told about stale reads (None: a free wire)
+        self._sim = None
+
+    @property
+    def value(self) -> int:
+        self._read = True
+        return self._value
 
     def begin_settle(self) -> None:
-        """Called by the simulator once at the start of the settle
-        phase: revert to the default (undriven) value."""
-        self._driven = False
+        """Revert to the default (undriven) value and forget this
+        pass's drive and reads."""
+        self.clear_driven()
         self._value = self.default
 
     def clear_driven(self) -> None:
-        """Called between settle passes: keep the value from the
-        previous pass (so early readers observe it) but allow the
-        driver to re-drive."""
+        """Start another pass: keep the value from the previous pass
+        (so early readers observe it) but forget its drive and reads."""
         self._driven = False
+        self._read = False
 
     def drive(self, value: int) -> bool:
-        """Drive the wire; returns True if the value changed.
-
-        The change indication is what the simulator's fixed-point
-        iteration uses to decide whether another settle pass is needed.
-        """
-        value = self._check(value)
-        if self._driven and self._value != value:
-            raise SignalError(
-                f"wire {self.name} driven to conflicting values "
-                f"{self._value} and {value} in one settle pass"
-            )
-        changed = self._value != value
-        self._value = value
+        """Drive the wire; returns True if the value changed."""
+        if type(value) is not int or value < 0 or value > self._max:
+            value = self._check(value)
+        if self._driven:
+            if self._value != value:
+                raise SignalError(
+                    f"wire {self.name} driven to conflicting values "
+                    f"{self._value} and {value} in one settle pass"
+                )
+            return False
         self._driven = True
-        return changed
+        if self._value == value:
+            return False
+        if self._read and self._sim is not None:
+            self._sim._stale = True
+        self._value = value
+        return True
 
 
 class Reg(Signal):
@@ -152,7 +170,9 @@ class Reg(Signal):
 
     def stage(self, value: int) -> None:
         """Stage ``value`` to be committed at the next clock edge."""
-        self._next = self._check(value)
+        if type(value) is not int or value < 0 or value > self._max:
+            value = self._check(value)
+        self._next = value
         self._staged = True
 
     @property

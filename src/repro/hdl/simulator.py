@@ -2,8 +2,26 @@
 
 Every simulated clock cycle runs in two phases:
 
-1. **Settle** -- all combinational processes are evaluated repeatedly
-   until no wire changes value (a fixed point).  The iteration bound
+1. **Settle** -- every wire starts at its default, the combinational
+   processes run in one pass over a schedule, and the pass is accepted
+   when it is a fixed point:
+
+   * every wire records that it was read in the pass; a process that
+     then drives it to a different value makes the read *stale*, and
+     the pass is rerun (with staged register values discarded);
+   * a wire that no process drove in the pass reads its ``default``:
+     after the pass it is reset, and if it held another value and was
+     read, that read was stale too;
+   * a pass without a stale read saw every wire's final value, so it
+     is accepted.
+
+   The schedule orders itself.  It starts in construction order; each
+   process that causes a stale read is moved to the front, so within a
+   few cycles the order follows the data flow and each cycle settles in
+   one pass.  The settle that builds or reorders the schedule is also
+   held to the plain fixed-point test -- no wire changes across a pass
+   -- which catches an unstable process even when nobody reads what it
+   drives.  ``max_settle_passes`` bounds the passes of one settle and
    catches combinational loops, which are modelling errors.
 2. **Tick** -- all sequential elements (registers, memories, FSM state)
    commit their staged updates atomically, then tracing hooks observe
@@ -16,7 +34,7 @@ design is simply a tree of :class:`Component` objects sharing one
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.hdl.signal import Reg, Signal, Wire
 
@@ -24,9 +42,10 @@ from repro.hdl.signal import Reg, Signal, Wire
 class CombinationalLoopError(RuntimeError):
     """The settle phase did not reach a fixed point.
 
-    Raised when wires keep changing after ``max_settle_passes``
-    iterations -- the Python analogue of an unstable combinational loop
-    in RTL.
+    Raised when a settle still has stale reads (or, while the schedule
+    is being validated, changing wires) after ``max_settle_passes``
+    passes -- the Python analogue of an unstable combinational loop in
+    RTL.
     """
 
 
@@ -36,11 +55,15 @@ class Component:
     Subclasses override any of:
 
     * :meth:`settle` -- combinational logic; read any signal, drive
-      wires, stage registers.  May run several times per cycle and must
-      therefore be side-effect free apart from signal updates.
+      wires, stage registers.  It runs once per settle pass, in an
+      order the simulator learns, and a cycle may take several passes;
+      it must therefore be a pure function of the signals it reads,
+      apart from driving wires and staging registers.
     * :meth:`tick` -- sequential commit beyond plain :class:`Reg`
       commits (e.g. memory arrays).  Runs exactly once per cycle.
     * :meth:`reset` -- return internal state to power-on values.
+
+    Only overridden hooks are scheduled.
     """
 
     def __init__(self, sim: "Simulator", name: str) -> None:
@@ -65,6 +88,11 @@ class Component:
     def reset(self) -> None:  # pragma: no cover - default no-op
         """Restore power-on state beyond signal defaults."""
 
+    def settle_processes(self) -> Tuple[str, ...]:
+        """Names of the methods the simulator schedules as this
+        component's combinational processes."""
+        return ("settle",) if type(self).settle is not Component.settle else ()
+
 
 class Simulator:
     """Owns the clock, the signal table, and the component list.
@@ -72,9 +100,10 @@ class Simulator:
     Parameters
     ----------
     max_settle_passes:
-        Upper bound on fixed-point iterations per cycle before a
-        :class:`CombinationalLoopError` is raised.  Real designs here
-        settle in a handful of passes.
+        Upper bound on settle passes per cycle before a
+        :class:`CombinationalLoopError` is raised.  Once the schedule
+        has ordered itself, designs here settle in one pass; a cycle
+        that reorders it takes a few.
     """
 
     def __init__(self, max_settle_passes: int = 64) -> None:
@@ -85,13 +114,28 @@ class Simulator:
         self._regs: List[Reg] = []
         self._signals: Dict[str, Signal] = {}
         self._tick_hooks: List[Callable[[int], None]] = []
+        #: (component, method name) processes in settle order
+        self._schedule: List[Tuple[Component, str]] = []
+        #: components that override :meth:`Component.tick`
+        self._tickers: List[Component] = []
+        #: hold the next settle to the plain fixed-point test
+        self._validate = True
+        #: set by a wire whose drive made an earlier read stale
+        self._stale = False
 
     # -- registration ----------------------------------------------------
     def _register_component(self, component: Component) -> None:
         self._components.append(component)
+        self._schedule.extend(
+            (component, name) for name in component.settle_processes()
+        )
+        if type(component).tick is not Component.tick:
+            self._tickers.append(component)
+        self._validate = True
 
     def add_wire(self, name: str, width: int = 1, default: int = 0) -> Wire:
         wire = Wire(name, width, default)
+        wire._sim = self
         self._add_signal(wire)
         self._wires.append(wire)
         return wire
@@ -137,27 +181,59 @@ class Simulator:
 
     # -- simulation ------------------------------------------------------
     def _settle(self) -> None:
-        for wire in self._wires:
-            wire.begin_settle()
+        wires = self._wires
+        for wire in wires:  # Wire.begin_settle, inlined
+            wire._driven = wire._read = False
+            wire._value = wire.default
+        self._stale = False
         for pass_index in range(self.max_settle_passes):
-            before = [w.value for w in self._wires]
+            validate = self._validate
+            if validate:
+                before = [w._value for w in wires]
             if pass_index:
-                for wire in self._wires:
-                    wire.clear_driven()
                 # conditional stages from earlier passes may rest on
-                # wire values that this pass revises; only the final
-                # pass's staging is authoritative
+                # stale reads; only the accepted pass's staging counts
                 for reg in self._regs:
                     reg.unstage()
-            for component in self._components:
-                component.settle()
-            after = [w.value for w in self._wires]
-            if before == after:
+            movers = []
+            for process in self._schedule:
+                # looked up on every pass, so a method patched on the
+                # class (by a probe, say) takes effect at once
+                getattr(process[0], process[1])()
+                if self._stale:
+                    self._stale = False
+                    movers.append(process)
+            stale = bool(movers)
+            if pass_index:
+                # a wire driven in an earlier pass but not in this one
+                # reads its default (the first pass starts from defaults)
+                for wire in wires:
+                    if not wire._driven and wire._value != wire.default:
+                        stale = stale or wire._read
+                        wire._value = wire.default
+            if not stale and not (
+                validate and before != [w._value for w in wires]
+            ):
+                self._validate = False
                 return
+            if movers:
+                self._move_to_front(movers)
+            for wire in wires:
+                wire.clear_driven()
         raise CombinationalLoopError(
             f"combinational logic failed to settle within "
             f"{self.max_settle_passes} passes at cycle {self.cycle}"
         )
+
+    def _move_to_front(self, movers: List[Tuple[Component, str]]) -> None:
+        """Schedule each driver that made a read stale ahead of
+        everything, the last one found first, and validate the new
+        order."""
+        moved = {id(p) for p in movers}
+        self._schedule = movers[::-1] + [
+            p for p in self._schedule if id(p) not in moved
+        ]
+        self._validate = True
 
     def step(self, cycles: int = 1) -> int:
         """Advance the clock by ``cycles`` edges; returns the new cycle
@@ -165,8 +241,9 @@ class Simulator:
         for _ in range(cycles):
             self._settle()
             for reg in self._regs:
-                reg.commit()
-            for component in self._components:
+                if reg._staged:
+                    reg.commit()
+            for component in self._tickers:
                 component.tick()
             self.cycle += 1
             for hook in self._tick_hooks:

@@ -37,6 +37,22 @@ class _ConditionalStager(Component):
             self.out.stage(99)
 
 
+class _GatedDriver(Component):
+    """Drives ``out`` high only while ``gate`` reads low, and latches
+    ``out`` into a register."""
+
+    def __init__(self, sim):
+        super().__init__(sim, "gated")
+        self.gate = self.wire("gate", 1)
+        self.out = self.wire("out", 1)
+        self.latched = self.reg("latched", 1)
+
+    def settle(self):
+        if not self.gate.value:
+            self.out.drive(1)
+        self.latched.stage(self.out.value)
+
+
 class TestConditionalStaging:
     def test_revoked_stage_does_not_commit(self):
         sim = Simulator()
@@ -46,6 +62,17 @@ class TestConditionalStaging:
         # pass 2: inhibit reads 1 -> condition revoked, nothing staged
         sim.step()
         assert stager.out.value == 0
+
+    def test_wire_left_undriven_reads_default(self):
+        sim = Simulator()
+        gated = _GatedDriver(sim)
+        _LateDriver(sim, gated.gate)
+        # pass 1: gate reads 0 (default) -> out driven to 1
+        # later passes: gate reads 1 -> out undriven, so it must read
+        # its default (0), not keep the 1 from pass 1
+        sim.step()
+        assert gated.out.value == 0
+        assert gated.latched.value == 0
 
     def test_unrevoked_stage_commits(self):
         sim = Simulator()
