@@ -168,9 +168,12 @@ def _open_output(path: str) -> Optional[TextIO]:
         return None
 
 
-def _write_output(path: str, write: Callable[[TextIO], None]) -> bool:
-    """Write an export file through ``write(handle)``; on failure print
-    the standard error message and return False."""
+def _write_output(
+    path: str, write: Callable[[TextIO], None], note: Optional[str] = None
+) -> bool:
+    """Write an export file through ``write(handle)`` and print ``note``
+    to stderr; on failure print the standard error message and return
+    False."""
     stream = _open_output(path)
     if stream is None:
         return False
@@ -181,6 +184,8 @@ def _write_output(path: str, write: Callable[[TextIO], None]) -> bool:
         return False
     finally:
         stream.close()
+    if note:
+        print(note, file=sys.stderr)
     return True
 
 
@@ -346,6 +351,58 @@ def cmd_trace(
     return 0
 
 
+#: How command-line options reach scenario feature keys: option ->
+#: (key, field).  ``on``/``off`` switches set ``enabled`` and
+#: ``--audit`` the auditor's period, arming the key if the file lacks
+#: it; a None field only forces the key on with its defaults (``repro
+#: flows`` and ``repro topo`` exist to show that feature).
+_KEY_OVERRIDES = {
+    "audit": ("audit", "period"),
+    "overload": ("overload", "enabled"),
+    "mitigation": ("security", "enabled"),
+    "controller": ("controller", "enabled"),
+    "flows": ("flows", None),
+    "topo": ("topo", None),
+}
+
+
+def _load_and_run(
+    scenario_path: str,
+    seed: int,
+    overrides: Optional[Dict[str, object]] = None,
+    **run_kwargs,
+):
+    """Load a scenario file, apply the ``overrides`` (option -> value,
+    see :data:`_KEY_OVERRIDES`; None leaves a key alone) and run it in a
+    fresh telemetry session.  Returns the :class:`ChaosReport`, or None
+    after printing the error."""
+    from repro.faults import Scenario, ScenarioError, run_scenario
+    from repro.obs import telemetry_session
+
+    try:
+        scenario = Scenario.load(scenario_path)
+    except OSError as exc:
+        print(f"error: cannot read {scenario_path}: {exc}", file=sys.stderr)
+        return None
+    except ScenarioError as exc:
+        print(f"error: bad scenario: {exc}", file=sys.stderr)
+        return None
+    for option, value in (overrides or {}).items():
+        if value is None:
+            continue
+        key, name = _KEY_OVERRIDES[option]
+        raw = dict(getattr(scenario, key) or {})
+        if name is not None:
+            raw[name] = (value == "on") if name == "enabled" else value
+        setattr(scenario, key, raw)
+    try:
+        with telemetry_session():
+            return run_scenario(scenario, seed=seed, **run_kwargs)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_spans(
     scenario_path: Optional[str],
     seed: int = 0,
@@ -371,29 +428,11 @@ def cmd_spans(
     )
 
     if scenario_path is not None:
-        from repro.faults import Scenario, ScenarioError, run_scenario
-
-        try:
-            scenario = Scenario.load(scenario_path)
-        except OSError as exc:
-            print(
-                f"error: cannot read {scenario_path}: {exc}",
-                file=sys.stderr,
-            )
-            return 1
-        except ScenarioError as exc:
-            print(f"error: bad scenario: {exc}", file=sys.stderr)
-            return 1
-        try:
-            with telemetry_session():
-                report = run_scenario(
-                    scenario, seed=seed, sample_rate=sample_rate
-                )
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        report = _load_and_run(scenario_path, seed, sample_rate=sample_rate)
+        if report is None:
             return 1
         recorder = report.recorder
-        label = scenario.name
+        label = report["scenario"]
     else:
         with telemetry_session():
             recorder = SpanRecorder(sample_rate=sample_rate)
@@ -430,15 +469,12 @@ def cmd_spans(
                 f"  {t.trace_id:<24} fec={t.fec:<18} {status:<9} "
                 f"latency={lat} path={'>'.join(t.path)}"
             )
-    if export:
-        if not _write_output(
-            export, lambda handle: export_chrome_trace(traces, handle)
-        ):
-            return 1
-        print(
-            f"spans: {label!r}: exported {len(traces)} traces -> {export}",
-            file=sys.stderr,
-        )
+    if export and not _write_output(
+        export,
+        lambda handle: export_chrome_trace(traces, handle),
+        f"spans: {label!r}: exported {len(traces)} traces -> {export}",
+    ):
+        return 1
     return 0
 
 
@@ -489,14 +525,11 @@ def cmd_chaos(
 ) -> int:
     """Run a fault-injection scenario file and print its report.
 
-    Stdout carries exactly the JSON report (the CI smoke step compares
-    two runs byte-for-byte); diagnostics go to stderr.
+    Stdout carries exactly the JSON report (the CI chaos-examples job
+    compares two runs byte-for-byte); diagnostics go to stderr.
     ``--list-faults`` instead enumerates the fault taxonomy (kinds,
     target arity, accepted params) and exits.
     """
-    from repro.faults import Scenario, ScenarioError, run_scenario
-    from repro.obs import telemetry_session
-
     if list_faults:
         print(_render_fault_kinds())
         return 0
@@ -504,46 +537,18 @@ def cmd_chaos(
         print("error: chaos needs a scenario file "
               "(e.g. examples/chaos_smoke.json)", file=sys.stderr)
         return 1
-    try:
-        scenario = Scenario.load(scenario_path)
-    except OSError as exc:
-        print(f"error: cannot read {scenario_path}: {exc}", file=sys.stderr)
-        return 1
-    except ScenarioError as exc:
-        print(f"error: bad scenario: {exc}", file=sys.stderr)
-        return 1
-    if audit is not None:
-        # the flag arms (or re-periods) the consistency auditor even
-        # when the scenario file doesn't ask for it
-        scenario.audit = {**(scenario.audit or {}), "period": audit}
-    if overload is not None:
-        # same idea: force overload protection on (or run the
-        # unprotected baseline) regardless of the scenario's own key
-        scenario.overload = {
-            **(scenario.overload or {}),
-            "enabled": overload == "on",
-        }
-    if mitigation is not None:
-        # run the same seeded attacks with every guard up, or stand
-        # them all down for the blast-radius baseline
-        scenario.security = {
-            **(scenario.security or {}),
-            "enabled": mitigation == "on",
-        }
-    if controller is not None:
-        # arm the centralized PCE (or run it dark for the distributed
-        # baseline) regardless of the scenario's own key
-        scenario.controller = {
-            **(scenario.controller or {}),
-            "enabled": controller == "on",
-        }
-    try:
-        with telemetry_session():
-            report = run_scenario(
-                scenario, seed=seed, batching=(batching == "on")
-            )
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    report = _load_and_run(
+        scenario_path,
+        seed,
+        {
+            "audit": audit,
+            "overload": overload,
+            "mitigation": mitigation,
+            "controller": controller,
+        },
+        batching=(batching == "on"),
+    )
+    if report is None:
         return 1
     text = report.to_json()
     if output:
@@ -554,7 +559,7 @@ def cmd_chaos(
     traffic = report["traffic"]
     availability = traffic["availability"]
     print(
-        f"chaos: {scenario.name!r} seed={seed}: "
+        f"chaos: {report['scenario']!r} seed={seed}: "
         f"{len(report['faults'])} faults, "
         f"availability {availability if availability is not None else 'n/a'}"
         + (f" -> {output}" if output else ""),
@@ -580,10 +585,9 @@ def cmd_flows(
     snapshots, and alert transitions as JSON Lines; ``--matrix`` the
     snapshots as one JSON document; ``--prom`` the final Prometheus
     exposition.  All three exports are byte-stable for a seeded
-    scenario (the CI flows-smoke step compares two runs with ``cmp``).
+    scenario (the CI exports job compares two runs with ``cmp``).
     """
-    from repro.faults import Scenario, ScenarioError, run_scenario
-    from repro.obs import telemetry_session, to_prometheus
+    from repro.obs import to_prometheus
     from repro.obs.alerts import render_alert_history
     from repro.obs.flows import (
         flows_to_jsonl,
@@ -595,69 +599,41 @@ def cmd_flows(
         print("error: flows needs a scenario file "
               "(e.g. examples/chaos_flow_alerts.json)", file=sys.stderr)
         return 1
-    try:
-        scenario = Scenario.load(scenario_path)
-    except OSError as exc:
-        print(f"error: cannot read {scenario_path}: {exc}", file=sys.stderr)
+    report = _load_and_run(scenario_path, seed, {"flows": True})
+    if report is None:
         return 1
-    except ScenarioError as exc:
-        print(f"error: bad scenario: {exc}", file=sys.stderr)
-        return 1
-    if scenario.flows is None:
-        scenario.flows = {}
-    try:
-        with telemetry_session() as tel:
-            report = run_scenario(scenario, seed=seed)
-            exposition = to_prometheus(tel.registry)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    accountant = report.flows
-    print(render_flow_summary(accountant, report.collector, top=top))
-    if report.alert_engine is not None:
+    accountant, collector, alerts = (
+        report.run.flows, report.run.collector, report.run.alert_engine
+    )
+    print(render_flow_summary(accountant, collector, top=top))
+    if alerts is not None:
         print()
-        print(render_alert_history(report.alert_engine))
-    if export:
-        records = accountant.all_records()
-        matrices = (
-            report.collector.matrices if report.collector is not None else ()
-        )
-        history = (
-            report.alert_engine.history
-            if report.alert_engine is not None
-            else ()
-        )
-        if not _write_output(
-            export,
-            lambda handle: flows_to_jsonl(
-                records, handle, matrices, history
-            ),
-        ):
-            return 1
-        print(
-            f"flows: {scenario.name!r} seed={seed}: exported "
-            f"{len(records)} records -> {export}",
-            file=sys.stderr,
-        )
-    if matrix:
-        if not _write_output(
-            matrix,
-            lambda handle: handle.write(
-                matrices_to_json(
-                    report.collector.matrices
-                    if report.collector is not None
-                    else []
-                )
-            ),
-        ):
-            return 1
-        print(f"flows: matrix snapshots -> {matrix}", file=sys.stderr)
-    if prom:
-        if not _write_output(
-            prom, lambda handle: handle.write(exposition)
-        ):
-            return 1
-        print(f"flows: Prometheus exposition -> {prom}", file=sys.stderr)
+        print(render_alert_history(alerts))
+    records = accountant.all_records()
+    history = alerts.history if alerts is not None else ()
+    if export and not _write_output(
+        export,
+        lambda handle: flows_to_jsonl(
+            records, handle, collector.matrices, history
+        ),
+        f"flows: {report['scenario']!r} seed={seed}: exported "
+        f"{len(records)} records -> {export}",
+    ):
+        return 1
+    if matrix and not _write_output(
+        matrix,
+        lambda handle: handle.write(matrices_to_json(collector.matrices)),
+        f"flows: matrix snapshots -> {matrix}",
+    ):
+        return 1
+    if prom and not _write_output(
+        prom,
+        lambda handle: handle.write(
+            to_prometheus(accountant.telemetry.registry)
+        ),
+        f"flows: Prometheus exposition -> {prom}",
+    ):
+        return 1
     return 0
 
 
@@ -813,36 +789,16 @@ def cmd_topo(
     changes between two instants; ``health`` prints the derived
     per-object scores.  ``--export`` writes the queried view as JSON
     and ``--dot`` as Graphviz -- both byte-stable for a seeded run
-    (the CI topo-smoke step compares two runs with ``cmp``).
+    (the CI exports job compares two runs with ``cmp``).
     """
-    from repro.faults import Scenario, ScenarioError, run_scenario
-    from repro.obs import telemetry_session
-
     times = times or []
-    try:
-        scenario = Scenario.load(scenario_path)
-    except OSError as exc:
-        print(f"error: cannot read {scenario_path}: {exc}", file=sys.stderr)
+    report = _load_and_run(
+        scenario_path, seed, {"topo": True}, batching=(batching == "on")
+    )
+    if report is None:
         return 1
-    except ScenarioError as exc:
-        print(f"error: bad scenario: {exc}", file=sys.stderr)
-        return 1
-    if scenario.topo is None:
-        # the observer is the point of this command: force it on even
-        # when the scenario file has no 'topo' key
-        scenario.topo = {}
-    try:
-        with telemetry_session():
-            report = run_scenario(
-                scenario, seed=seed, batching=(batching == "on")
-            )
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    observer = report.topo
-    if observer is None:
-        print("error: topology observer did not arm", file=sys.stderr)
-        return 1
+    # telemetry is on in the session, so the forced-on observer armed
+    observer = report.run.topo
 
     if action == "at":
         if len(times) != 1:
@@ -875,18 +831,18 @@ def cmd_topo(
     else:  # show
         view = observer.live_view()
         print(_render_topo_view(view))
-    if export:
-        if not _write_output(
-            export, lambda handle: handle.write(view.to_json())
-        ):
-            return 1
-        print(f"topo: view -> {export}", file=sys.stderr)
-    if dot:
-        if not _write_output(
-            dot, lambda handle: handle.write(view.to_dot())
-        ):
-            return 1
-        print(f"topo: DOT graph -> {dot}", file=sys.stderr)
+    if export and not _write_output(
+        export,
+        lambda handle: handle.write(view.to_json()),
+        f"topo: view -> {export}",
+    ):
+        return 1
+    if dot and not _write_output(
+        dot,
+        lambda handle: handle.write(view.to_dot()),
+        f"topo: DOT graph -> {dot}",
+    ):
+        return 1
     mismatches = observer.mismatches
     if mismatches:
         print(

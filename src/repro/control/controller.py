@@ -51,7 +51,6 @@ from typing import (
     Callable,
     Dict,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -82,9 +81,8 @@ _STATE_NAMES = {
 class ControllerConfig:
     """Knobs for the PCE controller and its node channels.
 
-    Parsed from the scenario's ``controller`` key; unknown keys are
-    rejected (:meth:`from_dict`) so typos fail loudly, mirroring
-    :class:`~repro.control.overload.OverloadConfig`.
+    The scenario's ``controller`` key, read by
+    :func:`repro.faults.scenario.parse_config`.
     """
 
     enabled: bool = True
@@ -141,37 +139,6 @@ class ControllerConfig:
             )
         if not (0.0 <= self.retry_jitter < 1.0):
             raise ValueError("retry_jitter must be in [0, 1)")
-
-    @classmethod
-    def from_dict(
-        cls, raw: Mapping[str, Any], horizon: Optional[float] = None
-    ) -> "ControllerConfig":
-        known: Dict[str, Any] = {
-            "enabled": bool,
-            "delegation": bool,
-            "adopt_at": float,
-            "keepalive_interval": float,
-            "hold_time": float,
-            "stale_hold": float,
-            "rpc_delay": float,
-            "rpc_timeout": float,
-            "missed_rpc_limit": int,
-            "queue_capacity": int,
-            "high_watermark": int,
-            "low_watermark": int,
-            "retry_initial": float,
-            "retry_max": float,
-            "max_retries": int,
-            "retry_jitter": float,
-        }
-        unknown = set(raw) - set(known)
-        if unknown:
-            raise ValueError(
-                f"unknown controller key(s): {', '.join(sorted(unknown))}"
-            )
-        kwargs = {key: cast(raw[key]) for key, cast in known.items()
-                  if key in raw}
-        return cls(horizon=horizon, **kwargs)
 
 
 class _Rpc:

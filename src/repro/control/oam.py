@@ -230,6 +230,8 @@ class OAMMonitor:
         self.start = start
         self.stop = stop
         self.timeout = timeout if timeout is not None else period
+        if self.timeout <= 0:
+            raise ValueError(f"timeout must be positive, got {timeout}")
         self.slo_rtt_s = slo_rtt_s
         self.records: List[ProbeRecord] = []
         self.transitions: List[UpTransition] = []

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from collections import deque
 
@@ -145,36 +145,6 @@ class OverloadConfig:
             raise ValueError("max_shed_fraction must be in [0, 1]")
         if self.shed_period <= 0:
             raise ValueError("shed_period must be > 0")
-
-    @classmethod
-    def from_dict(
-        cls, raw: Mapping[str, Any], horizon: Optional[float] = None
-    ) -> "OverloadConfig":
-        known = {
-            "enabled": bool,
-            "queue_capacity": int,
-            "high_watermark": int,
-            "low_watermark": int,
-            "service_time_s": float,
-            "keepalive_interval": float,
-            "hold_time": float,
-            "retry_jitter": float,
-            "shed_period": float,
-            "shed_start": float,
-            "shed_high": float,
-            "shed_low": float,
-            "shed_hysteresis": int,
-            "max_shed_fraction": float,
-        }
-        unknown = set(raw) - set(known)
-        if unknown:
-            raise ValueError(
-                f"unknown overload key(s): {', '.join(sorted(unknown))}"
-            )
-        kwargs: Dict[str, Any] = {
-            key: cast(raw[key]) for key, cast in known.items() if key in raw
-        }
-        return cls(horizon=horizon, **kwargs)
 
 
 class PriorityControlQueue:

@@ -13,39 +13,28 @@ the scenario's horizon, and distils the outcome into a
   actually become whole again?),
 * per-fault MTTR, LDP session-recovery statistics and info-base scrub
   totals,
-* graceful-restart outcomes (stale-marked/refreshed/flushed entries,
-  stale-forwarding duration, per-flow loss) and consistency-audit
-  totals -- present only when the scenario uses ``node-restart``
-  faults or the ``audit`` key, so reports without them stay
-  byte-identical to earlier versions,
-* OAM probe statistics (per-FEC reachability, RTTs, SLO breaches,
-  up/down transitions) when the scenario carries an ``oam`` key, and a
-  span-tracing summary when the run was invoked with a sample rate --
-  both gated the same way,
-* control-plane overload statistics (queue accounting, hold-timer
-  expiries, session survival, ingress shedding, LSP preemption) when
-  the scenario carries an ``overload`` key -- gated the same way, so
-  pre-overload reports stay byte-identical,
-* flow-accounting totals, top talkers and the final traffic matrix
-  when the scenario carries a ``flows`` key, plus the alert engine's
-  rule set and full raise/clear history under an ``alerts`` key --
-  both gated the same way.
+* graceful-restart outcomes when the scenario uses ``node-restart``
+  faults, a span-tracing summary when the run was given a sample rate,
+  and one section per feature key the scenario carries (``audit``,
+  ``oam``, ``overload``, ``flows``/``alerts``, ``security``,
+  ``convergence`` for ``topo``, ``controller``) -- each gated, so a
+  report without them stays byte-identical to earlier versions.
 
 Everything in the report derives from simulated time and seeded
 randomness -- the same (scenario, seed) pair yields a byte-identical
-JSON report, which the CI chaos-smoke step checks literally with
+JSON report, which the CI chaos-examples job checks literally with
 ``cmp``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core.device import STRATIX_EP1S40
 from repro.faults.injector import FaultInjector
-from repro.faults.scenario import Scenario, ScenarioError
+from repro.faults.scenario import Scenario, ScenarioError, feature_errors
 from repro.mpls.fec import PrefixFEC
 from repro.net.network import MPLSNetwork
 from repro.net.traffic import CBRSource
@@ -71,29 +60,34 @@ class ChaosRun:
     message_ldp: Any = None
     frr: Any = None
     schedule: List[Any] = field(default_factory=list)
+    # -- what each feature key armed (None when absent): the
+    # ConsistencyAuditor, OAMMonitor, OverloadConfig and IngressShedder,
+    # FlowAccountant / MatrixCollector / AlertEngine, SecurityMonitor,
+    # TopologyObserver (only with telemetry on) and PCEController
     auditor: Any = None
     oam: Any = None
     overload: Any = None
     shedder: Any = None
-    #: the armed FlowAccountant / MatrixCollector / AlertEngine when
-    #: the scenario carries ``flows`` (and ``alerts``) keys
     flows: Any = None
     collector: Any = None
     alert_engine: Any = None
-    #: the armed SecurityMonitor when the scenario carries a
-    #: ``security`` key
     security: Any = None
-    #: the armed TopologyObserver when the scenario carries a ``topo``
-    #: key (and telemetry is on)
     topo: Any = None
-    #: the armed PCEController when the scenario carries a
-    #: ``controller`` key
     controller: Any = None
 
 
 def build_run(scenario: Scenario, seed: int = 0) -> ChaosRun:
     """Construct the network, control plane, traffic and injector for
-    one scenario without running it."""
+    one scenario without running it.
+
+    Every feature key is parsed before anything is built, and a
+    ``ValueError`` raised while building a feature from its config
+    becomes a :class:`ScenarioError` naming the key.  The arming order
+    is a dependency chain: the topology observer comes before the
+    control plane, and the security monitor and the controller before
+    the injector whose faults act on them.
+    """
+    configs = scenario.configs()
     topology, roles = scenario.build_topology()
     if scenario.hardware:
         from repro.core.hwnode import HardwareLSRNode
@@ -107,27 +101,18 @@ def build_run(scenario: Scenario, seed: int = 0) -> ChaosRun:
         network.attach_host(flow.egress, flow.prefix)
 
     topo_observer = None
-    if scenario.topo is not None and get_telemetry().enabled:
+    if "topo" in configs and get_telemetry().enabled:
         from repro.obs.topo import TopologyObserver
 
         # armed before the control plane exists so the initial label
         # distribution (and everything after) lands in the database
-        topo_observer = TopologyObserver(
-            topology,
-            snapshot_every=int(
-                dict(scenario.topo).get("snapshot_every", 64)
-            ),
-        )
+        with feature_errors("topo"):
+            topo_observer = TopologyObserver(
+                topology, snapshot_every=configs["topo"].snapshot_every
+            )
         topo_observer.attach()
 
-    overload_cfg = None
-    if scenario.overload is not None:
-        from repro.control.overload import OverloadConfig
-
-        overload_cfg = OverloadConfig.from_dict(
-            scenario.overload, horizon=scenario.duration
-        )
-
+    overload_cfg = configs.get("overload")
     ldp = message_ldp = frr = None
     if scenario.control == "ldp":
         from repro.control.ldp import LDPProcess
@@ -138,19 +123,14 @@ def build_run(scenario: Scenario, seed: int = 0) -> ChaosRun:
     elif scenario.control == "ldp-messages":
         from repro.control.ldp_sessions import MessageLDPProcess
 
-        if overload_cfg is not None:
-            message_ldp = MessageLDPProcess(
-                topology,
-                network.nodes,
-                network.scheduler,
-                overload=overload_cfg,
-                retry_jitter=overload_cfg.retry_jitter,
-                jitter_seed=seed,
-            )
-        else:
-            message_ldp = MessageLDPProcess(
-                topology, network.nodes, network.scheduler
-            )
+        message_ldp = MessageLDPProcess(
+            topology,
+            network.nodes,
+            network.scheduler,
+            overload=overload_cfg,
+            retry_jitter=overload_cfg.retry_jitter if overload_cfg else 0.0,
+            jitter_seed=seed,
+        )
         message_ldp.start()
         for flow in scenario.traffic:
             message_ldp.announce_fec(
@@ -198,15 +178,11 @@ def build_run(scenario: Scenario, seed: int = 0) -> ChaosRun:
         sources.append(source)
 
     security = None
-    if scenario.security is not None:
-        from repro.security import SecurityConfig, SecurityMonitor
+    if "security" in configs:
+        from repro.security import SecurityMonitor
 
-        try:
-            security_cfg = SecurityConfig.from_dict(scenario.security)
-        except ValueError as exc:
-            raise ScenarioError(str(exc))
         security = SecurityMonitor(
-            network, security_cfg, message_ldp=message_ldp
+            network, configs["security"], message_ldp=message_ldp
         )
         security.flows = [
             (flow.prefix, flow.egress, source.flow_id)
@@ -218,28 +194,23 @@ def build_run(scenario: Scenario, seed: int = 0) -> ChaosRun:
         security.arm()
 
     controller = None
-    if scenario.controller is not None:
-        from repro.control.controller import ControllerConfig, PCEController
+    if "controller" in configs:
+        from repro.control.controller import PCEController
 
-        try:
-            controller_cfg = ControllerConfig.from_dict(
-                scenario.controller, horizon=scenario.duration
+        with feature_errors("controller"):
+            controller = PCEController(
+                network,
+                configs["controller"],
+                ldp=ldp,
+                message_ldp=message_ldp,
+                frr=frr,
+                fec_specs=[
+                    (PrefixFEC(flow.prefix), flow.ingress, flow.egress)
+                    for flow in scenario.traffic
+                ],
+                seed=seed,
             )
-        except ValueError as exc:
-            raise ScenarioError(str(exc))
-        controller = PCEController(
-            network,
-            controller_cfg,
-            ldp=ldp,
-            message_ldp=message_ldp,
-            frr=frr,
-            fec_specs=[
-                (PrefixFEC(flow.prefix), flow.ingress, flow.egress)
-                for flow in scenario.traffic
-            ],
-            seed=seed,
-        )
-        controller.start()
+            controller.start()
 
     injector = FaultInjector(
         network,
@@ -253,54 +224,44 @@ def build_run(scenario: Scenario, seed: int = 0) -> ChaosRun:
     )
     schedule = injector.apply(scenario, seed)
     auditor = None
-    if scenario.audit is not None:
+    if "audit" in configs:
         from repro.faults.auditor import ConsistencyAuditor
 
-        cfg = dict(scenario.audit)
-        auditor = ConsistencyAuditor(
-            network,
-            period=float(cfg.get("period", 0.1)),
-            start=(
-                float(cfg["start"]) if cfg.get("start") is not None
-                else None
-            ),
-            stop=scenario.duration,
-            repair=bool(cfg.get("repair", True)),
-            security=security,
-        )
+        audit = configs["audit"]
+        with feature_errors("audit"):
+            auditor = ConsistencyAuditor(
+                network,
+                period=audit.period,
+                start=audit.start,
+                stop=scenario.duration,
+                repair=audit.repair,
+                security=security,
+            )
     oam = None
-    if scenario.oam is not None:
+    if "oam" in configs:
         from repro.control.oam import OAMMonitor, ProbeTarget
 
-        cfg = dict(scenario.oam)
-        targets = [
-            ProbeTarget(
-                fec=flow.prefix,
-                ingress=flow.ingress,
-                destination=flow.dst,
+        probe = configs["oam"]
+        timeout = probe.timeout if probe.timeout is not None else probe.period
+        with feature_errors("oam"):
+            oam = OAMMonitor(
+                network,
+                [
+                    ProbeTarget(
+                        fec=flow.prefix,
+                        ingress=flow.ingress,
+                        destination=flow.dst,
+                    )
+                    for flow in scenario.traffic
+                ],
+                period=probe.period,
+                start=probe.start,
+                # the last probe's verdict check must land inside the
+                # run horizon, or it would stay pending forever
+                stop=scenario.duration - timeout,
+                timeout=timeout,
+                slo_rtt_s=probe.slo_rtt_s,
             )
-            for flow in scenario.traffic
-        ]
-        period = float(cfg.get("period", 0.05))
-        timeout = (
-            float(cfg["timeout"]) if cfg.get("timeout") is not None
-            else period
-        )
-        oam = OAMMonitor(
-            network,
-            targets,
-            period=period,
-            start=float(cfg.get("start", 0.0)),
-            # the last probe's verdict check must land inside the run
-            # horizon, or it would stay pending forever
-            stop=scenario.duration - timeout,
-            timeout=timeout,
-            slo_rtt_s=(
-                float(cfg["slo_rtt_s"])
-                if cfg.get("slo_rtt_s") is not None
-                else None
-            ),
-        )
     shedder = None
     if (
         overload_cfg is not None
@@ -327,49 +288,44 @@ def build_run(scenario: Scenario, seed: int = 0) -> ChaosRun:
         network.ingress_guard = shedder.guard
         shedder.arm()
     accountant = collector = alert_engine = None
-    if scenario.flows is not None:
+    if "flows" in configs:
         from repro.obs.alerts import AlertEngine
         from repro.obs.flows import FlowAccountant, MatrixCollector
 
-        cfg = dict(scenario.flows)
-        accountant = FlowAccountant(
-            active_timeout=float(cfg.get("active_timeout", 1.0)),
-            idle_timeout=float(cfg.get("idle_timeout", 0.25)),
-            capacity=int(cfg.get("capacity", 4096)),
-            flow_fecs={
-                source.flow_id: flow.prefix
-                for flow, source in zip(scenario.traffic, sources)
-            },
-            # runtime flow ids come from a process-global counter;
-            # export the scenario flow index instead so flow-record
-            # exports are byte-stable across runs
-            flow_ids={
-                source.flow_id: i for i, source in enumerate(sources)
-            },
-        )
-        if scenario.alerts is not None:
-            alert_engine = AlertEngine(
-                dict(scenario.alerts).get("rules", [])
-            )
+        if "alerts" in configs:
+            with feature_errors("alerts"):
+                alert_engine = AlertEngine(configs["alerts"].rules)
+        fcfg = configs["flows"]
         bandwidths = {
             (ch.src.node, ch.dst.node): ch.bandwidth_bps
             for link in network.links.values()
             for ch in (link.forward, link.reverse)
         }
-        period = float(cfg.get("matrix_period", 0.1))
-        collector = MatrixCollector(
-            accountant,
-            network.scheduler,
-            bandwidths=bandwidths,
-            period=period,
-            start=(
-                float(cfg["matrix_start"])
-                if cfg.get("matrix_start") is not None
-                else None
-            ),
-            stop=scenario.duration,
-            alerts=alert_engine,
-        )
+        with feature_errors("flows"):
+            accountant = FlowAccountant(
+                active_timeout=fcfg.active_timeout,
+                idle_timeout=fcfg.idle_timeout,
+                capacity=fcfg.capacity,
+                flow_fecs={
+                    source.flow_id: flow.prefix
+                    for flow, source in zip(scenario.traffic, sources)
+                },
+                # runtime flow ids come from a process-global counter;
+                # export the scenario flow index instead so flow-record
+                # exports are byte-stable across runs
+                flow_ids={
+                    source.flow_id: i for i, source in enumerate(sources)
+                },
+            )
+            collector = MatrixCollector(
+                accountant,
+                network.scheduler,
+                bandwidths=bandwidths,
+                period=fcfg.matrix_period,
+                start=fcfg.matrix_start,
+                stop=scenario.duration,
+                alerts=alert_engine,
+            )
     return ChaosRun(
         scenario=scenario,
         seed=seed,
@@ -401,15 +357,10 @@ class ChaosReport:
     #: The :class:`~repro.obs.spans.SpanRecorder` of a traced run
     #: (``sample_rate`` was given), for export; not part of the JSON.
     recorder: Any = None
-    #: The run's FlowAccountant / MatrixCollector / AlertEngine when
-    #: the scenario carried a ``flows`` key, for export and rendering;
-    #: not part of the JSON.
-    flows: Any = None
-    collector: Any = None
-    alert_engine: Any = None
-    #: The run's TopologyObserver when the scenario carried a ``topo``
-    #: key, for time-travel queries and export; not part of the JSON.
-    topo: Any = None
+    #: The :class:`ChaosRun` the report summarizes (flow accountant,
+    #: topology observer, final tables ...), for export, rendering and
+    #: time-travel queries; not part of the JSON.
+    run: Any = None
 
     def to_json(self) -> str:
         return json.dumps(self.data, sort_keys=True, indent=2) + "\n"
@@ -582,12 +533,7 @@ def _security_section(run: ChaosRun) -> Dict[str, Any]:
     return {
         "enabled": cfg.enabled,
         "guards": {
-            "edge_guard": cfg.edge_guard,
-            "authenticate": cfg.authenticate,
-            "cross_check": cfg.cross_check,
-            "quarantine": cfg.quarantine,
-            "exception_rate": cfg.exception_rate,
-            "exception_burst": cfg.exception_burst,
+            k: v for k, v in asdict(cfg).items() if k != "enabled"
         },
         "attacks": [
             {
@@ -827,26 +773,22 @@ def summarize(
             if downtimes
             else None,
         }
-    if run.scenario.overload is not None:
+    if run.overload is not None:
         report["overload"] = _overload_section(run)
-    if run.scenario.flows is not None and run.flows is not None:
+    if run.flows is not None:
         report["flows"] = _flows_section(run)
         if run.alert_engine is not None:
             report["alerts"] = run.alert_engine.summary()
-    if run.scenario.security is not None and run.security is not None:
+    if run.security is not None:
         report["security"] = _security_section(run)
-    if run.scenario.topo is not None and run.topo is not None:
-        conv = run.topo.convergence()
+    if run.topo is not None:
         report["convergence"] = {
-            "initial": conv["initial"],
-            "disruptions": conv["disruptions"],
-            "deltas": conv["deltas"],
-            "snapshots": conv["snapshots"],
+            **run.topo.convergence(),
             "final_health": run.topo.live_view().health()["overall"],
             "verified": run.topo.verified,
             "mismatches": run.topo.mismatches,
         }
-    if run.scenario.controller is not None and run.controller is not None:
+    if run.controller is not None:
         report["controller"] = _controller_section(run)
     if injector.restarts:
         restarts = []
@@ -968,11 +910,4 @@ def summarize(
         for event in sink.events:
             kinds[event.kind] = kinds.get(event.kind, 0) + 1
         report["events"] = dict(sorted(kinds.items()))
-    return ChaosReport(
-        report,
-        recorder=recorder,
-        flows=run.flows,
-        collector=run.collector,
-        alert_engine=run.alert_engine,
-        topo=run.topo,
-    )
+    return ChaosReport(report, recorder=recorder, run=run)

@@ -31,14 +31,23 @@ Schema (all times in simulated seconds)::
                   "target": ["lsr-1", "lsr-2"], "heal_at": 0.6}],
       "random_faults": {"count": 6, "kinds": ["link-down"],
                         "window": [0.1, 0.7], "mean_outage": 0.05},
+      // the eight optional feature keys (FEATURES below)
       "audit": {"period": 0.1, "start": 0.05},  // consistency auditor
       "oam": {"period": 0.05, "start": 0.0,     // continuous LSP pings
-              "timeout": 0.05, "slo_rtt_s": 0.01}
+              "timeout": 0.05, "slo_rtt_s": 0.01},
+      "overload": {"enabled": true},            // OverloadConfig
+      "flows": {"matrix_period": 0.1},          // flow accounting
+      "alerts": {"rules": [...]},               // needs "flows"
+      "security": {"enabled": true},            // SecurityConfig
+      "topo": {"snapshot_every": 64},           // topology observatory
+      "controller": {"enabled": true}           // ControllerConfig
     }
 
-The ``oam`` key arms a :class:`~repro.control.oam.OAMMonitor` over
-every traffic flow's FEC (prefix pinged from its ingress); omit it to
-run without probes, keeping older reports byte-identical.
+Each feature key is optional and gates its own report section, so a
+scenario without it keeps an older report byte-identical.  Every key
+maps to one config dataclass in :data:`FEATURES`; :func:`parse_config`
+is the one reader of their fields: unknown names and mistyped values
+fail with a :class:`ScenarioError` naming the key (and the field).
 
 ``node-restart`` faults are *warm* (graceful) restarts: the target's
 control plane goes away between ``at`` and ``heal_at`` while its data
@@ -50,11 +59,27 @@ forwarding-state holding timer after which unrefreshed entries flush.
 from __future__ import annotations
 
 import json
+import math
 import random
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
+from repro.control.controller import ControllerConfig
+from repro.control.overload import OverloadConfig
 from repro.mpls.router import RouterRole
 from repro.net.topology import (
     Topology,
@@ -63,6 +88,7 @@ from repro.net.topology import (
     paper_figure1,
     ring,
 )
+from repro.security.monitor import SecurityConfig
 
 
 class ScenarioError(ValueError):
@@ -354,6 +380,138 @@ class RandomFaultSpec:
         )
 
 
+@dataclass(frozen=True)
+class AuditConfig:
+    """The ``audit`` key: the consistency auditor's schedule."""
+
+    period: float = 0.1
+    #: first pass (None: one period in)
+    start: Optional[float] = None
+    #: False detects drift without repairing it
+    repair: bool = True
+
+
+@dataclass(frozen=True)
+class OAMConfig:
+    """The ``oam`` key: continuous LSP pings over every flow's FEC."""
+
+    period: float = 0.05
+    start: float = 0.0
+    #: verdict deadline per probe (None: one period)
+    timeout: Optional[float] = None
+    #: RTT above which a reply counts as an SLO breach (None: no SLO)
+    slo_rtt_s: Optional[float] = None
+
+
+@dataclass(frozen=True)
+class FlowsConfig:
+    """The ``flows`` key: flow accounting and traffic-matrix snapshots."""
+
+    active_timeout: float = 1.0
+    idle_timeout: float = 0.25
+    capacity: int = 4096
+    matrix_period: float = 0.1
+    #: first snapshot (None: one period in)
+    matrix_start: Optional[float] = None
+
+
+@dataclass(frozen=True)
+class AlertsConfig:
+    """The ``alerts`` key: threshold/hysteresis rules (needs ``flows``)."""
+
+    #: ``{"name", "signal", "threshold", "clear", "description"}`` rules
+    rules: List[Mapping[str, Any]] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class TopoConfig:
+    """The ``topo`` key: the topology observatory."""
+
+    #: deltas between full snapshots of the link-state database
+    snapshot_every: int = 64
+
+
+#: The eight optional feature keys, each with the config dataclass
+#: :func:`parse_config` builds from it.  ``docs/fault_injection.md``
+#: tables the same keys and fields (a lint test keeps them in step).
+FEATURES: Dict[str, type] = {
+    "audit": AuditConfig,
+    "oam": OAMConfig,
+    "overload": OverloadConfig,
+    "flows": FlowsConfig,
+    "alerts": AlertsConfig,
+    "security": SecurityConfig,
+    "topo": TopoConfig,
+    "controller": ControllerConfig,
+}
+
+_KIND_NAMES = {bool: "a boolean", int: "an integer",
+               float: "a finite number", list: "a list of objects"}
+
+
+def config_fields(cls: type) -> Dict[str, Any]:
+    """The fields a scenario document may set on config ``cls`` (name ->
+    type); ``horizon`` is the run's, passed to :func:`parse_config`."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name != "horizon"}
+
+
+def _conform(key: str, name: str, hint: Any, value: Any) -> Any:
+    """``value`` checked strictly against ``hint``: a bool is never an
+    int or a number, an int is never a float, and ints widen to float."""
+    if get_origin(hint) is Union:  # Optional[X]
+        if value is None:
+            return None
+        hint = get_args(hint)[0]
+    kind = get_origin(hint) or hint
+    if kind is float:
+        ok = type(value) in (int, float) and math.isfinite(value)
+    else:
+        ok = type(value) is kind
+    if kind is list:  # the one list field holds alert-rule objects
+        ok = ok and all(type(item) is dict for item in value)
+    if not ok:
+        raise ScenarioError(
+            f"{key}.{name} must be {_KIND_NAMES[kind]}, got {value!r}"
+        )
+    return float(value) if kind is float else value
+
+
+@contextmanager
+def feature_errors(key: str) -> Iterator[None]:
+    """Turn a ``ValueError`` raised while parsing feature ``key`` or
+    building it from its config into a :class:`ScenarioError` that
+    names the key."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{key}: {exc}") from exc
+
+
+def parse_config(
+    cls: type, raw: Mapping[str, Any], key: str, **fixed: Any
+) -> Any:
+    """Build config dataclass ``cls`` from the mapping under ``key``.
+
+    Unknown names and mistyped values raise :class:`ScenarioError`;
+    ``fixed`` carries the run's own fields (``horizon``)."""
+    accepted = config_fields(cls)
+    unknown = sorted(set(raw) - set(accepted))
+    if unknown:
+        raise ScenarioError(
+            f"unknown {key} key(s): {', '.join(unknown)} "
+            f"(accepted: {', '.join(sorted(accepted))})"
+        )
+    values = {
+        name: _conform(key, name, accepted[name], value)
+        for name, value in raw.items()
+    }
+    with feature_errors(key):
+        return cls(**values, **fixed)
+
+
 _TOPOLOGY_BUILDERS = {
     "paper_figure1": paper_figure1,
     "ring": ring,
@@ -378,39 +536,19 @@ class Scenario:
     protection: List[Mapping[str, Any]] = field(default_factory=list)
     faults: List[FaultSpec] = field(default_factory=list)
     random_faults: Optional[RandomFaultSpec] = None
-    #: consistency-auditor configuration ({"period": s, "start": s}),
-    #: or None to run without the auditor
+    # -- the eight feature keys (FEATURES): the document's raw mappings,
+    # parsed by :meth:`configs`; None leaves the feature (and its report
+    # section) off, so older reports stay byte-identical
     audit: Optional[Mapping[str, Any]] = None
-    #: OAM monitor configuration ({"period": s, "start": s,
-    #: "timeout": s, "slo_rtt_s": s}), or None to run without probes
     oam: Optional[Mapping[str, Any]] = None
-    #: control-plane overload protection (see
-    #: :class:`repro.control.overload.OverloadConfig`), or None to run
-    #: with the legacy unbounded control plane
     overload: Optional[Mapping[str, Any]] = None
-    #: flow accounting / traffic-matrix configuration
-    #: ({"active_timeout": s, "idle_timeout": s, "capacity": n,
-    #: "matrix_period": s, "matrix_start": s}), or None to run without
-    #: the accountant (older reports stay byte-identical)
     flows: Optional[Mapping[str, Any]] = None
-    #: alerting rules ({"rules": [{"name", "signal", "threshold",
-    #: "clear", "description"}, ...]}), or None for no alert engine;
     #: requires ``flows`` (the engine evaluates on the collector tick)
     alerts: Optional[Mapping[str, Any]] = None
-    #: adversarial-security configuration (see
-    #: :class:`repro.security.SecurityConfig`), or None to run without
-    #: the monitor; required by the attack fault kinds and gates the
-    #: report's ``security`` section (older reports stay byte-identical)
+    #: required by the attack fault kinds
     security: Optional[Mapping[str, Any]] = None
-    #: topology-observatory configuration ({"snapshot_every": n}), or
-    #: None to run without the observer; gates the report's
-    #: ``convergence`` section (older reports stay byte-identical)
     topo: Optional[Mapping[str, Any]] = None
-    #: centralized PCE controller configuration (see
-    #: :class:`repro.control.controller.ControllerConfig`), or None to
-    #: run pure distributed control; required by the controller fault
-    #: kinds and gates the report's ``controller`` section (older
-    #: reports stay byte-identical)
+    #: required by the controller fault kinds
     controller: Optional[Mapping[str, Any]] = None
 
     def __post_init__(self) -> None:
@@ -427,43 +565,33 @@ class Scenario:
                 "'alerts' needs 'flows': the alert engine is evaluated "
                 "on the traffic-matrix collector tick"
             )
-        attack_kinds = {
-            s.kind for s in self.faults if s.kind in SECURITY_KINDS
-        }
+        kinds = {s.kind for s in self.faults}
         if self.random_faults is not None:
-            attack_kinds |= {
-                k for k in self.random_faults.kinds if k in SECURITY_KINDS
-            }
-        if attack_kinds and self.security is None:
-            names = ", ".join(sorted(k.value for k in attack_kinds))
-            raise ScenarioError(
-                f"'{names}' faults need a 'security' key: adversarial "
-                "faults are measured against the security monitor's "
-                "guards (set \"enabled\": false to run them unmitigated)"
-            )
-        controller_kinds = {
-            s.kind for s in self.faults if s.kind in CONTROLLER_KINDS
-        }
-        if self.random_faults is not None:
-            controller_kinds |= {
-                k
-                for k in self.random_faults.kinds
-                if k in CONTROLLER_KINDS
-            }
-        if controller_kinds and self.controller is None:
-            names = ", ".join(sorted(k.value for k in controller_kinds))
-            raise ScenarioError(
-                f"'{names}' faults need a 'controller' key: controller "
-                "faults act on the PCE and its node channels (set "
-                "\"enabled\": false to run them against a dark "
-                "controller)"
-            )
+            kinds |= set(self.random_faults.kinds)
+        for key, needy, why in (
+            ("security", SECURITY_KINDS, "adversarial faults are measured "
+             "against the security monitor's guards (set \"enabled\": "
+             "false to run them unmitigated)"),
+            ("controller", CONTROLLER_KINDS, "controller faults act on the "
+             "PCE and its node channels (set \"enabled\": false to run "
+             "them against a dark controller)"),
+        ):
+            used = kinds & needy
+            if used and getattr(self, key) is None:
+                names = ", ".join(sorted(k.value for k in used))
+                raise ScenarioError(
+                    f"'{names}' faults need a '{key}' key: {why}"
+                )
 
     # -- construction -------------------------------------------------------
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "Scenario":
         faults = [FaultSpec.from_dict(f) for f in raw.get("faults", [])]
         rand = raw.get("random_faults")
+        features = {k: raw[k] for k in FEATURES if raw.get(k) is not None}
+        for key, value in features.items():
+            if not isinstance(value, Mapping):
+                raise ScenarioError(f"'{key}' must be an object: {value!r}")
         return cls(
             name=raw.get("name", "unnamed"),
             description=raw.get("description", ""),
@@ -481,37 +609,22 @@ class Scenario:
             random_faults=(
                 RandomFaultSpec.from_dict(rand) if rand else None
             ),
-            audit=(
-                dict(raw["audit"]) if raw.get("audit") is not None else None
-            ),
-            oam=(
-                dict(raw["oam"]) if raw.get("oam") is not None else None
-            ),
-            overload=(
-                dict(raw["overload"])
-                if raw.get("overload") is not None
-                else None
-            ),
-            flows=(
-                dict(raw["flows"]) if raw.get("flows") is not None else None
-            ),
-            alerts=(
-                dict(raw["alerts"]) if raw.get("alerts") is not None else None
-            ),
-            security=(
-                dict(raw["security"])
-                if raw.get("security") is not None
-                else None
-            ),
-            topo=(
-                dict(raw["topo"]) if raw.get("topo") is not None else None
-            ),
-            controller=(
-                dict(raw["controller"])
-                if raw.get("controller") is not None
-                else None
-            ),
+            **{key: dict(value) for key, value in features.items()},
         )
+
+    def configs(self) -> Dict[str, Any]:
+        """Every feature key the scenario carries, parsed into its
+        config dataclass (key -> config); the run's horizon is the
+        scenario duration."""
+        out = {}
+        for key, cls in FEATURES.items():
+            raw = getattr(self, key)
+            if raw is not None:
+                fixed = {}
+                if hasattr(cls, "horizon"):
+                    fixed["horizon"] = self.duration
+                out[key] = parse_config(cls, raw, key, **fixed)
+        return out
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":

@@ -85,6 +85,9 @@ class AlertRule:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "AlertRule":
+        missing = [k for k in ("name", "signal", "threshold") if k not in raw]
+        if missing:
+            raise ValueError(f"rule {raw!r} lacks {', '.join(missing)}")
         threshold = float(raw["threshold"])
         clear = raw.get("clear")
         return cls(

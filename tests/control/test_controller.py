@@ -8,6 +8,7 @@ controller re-adopts.
 """
 
 import copy
+import os
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.control.controller import (
 )
 from repro.control.cspf import CSPFError, cspf_over_view
 from repro.faults import Scenario, run_scenario
+from repro.faults.scenario import parse_config
 from repro.mpls.label import LabelOp
 from repro.mpls.nhlfe import NHLFE
 from repro.mpls.router import LSRNode, RouterRole
@@ -80,13 +82,18 @@ class TestControllerConfig:
             ValueError,
             match=r"unknown controller key\(s\): delegatoin, hold_tme",
         ):
-            ControllerConfig.from_dict(
-                {"delegatoin": True, "hold_tme": 0.1}
+            parse_config(
+                ControllerConfig,
+                {"delegatoin": True, "hold_tme": 0.1},
+                "controller",
             )
 
     def test_from_dict_casts_and_threads_horizon(self):
-        cfg = ControllerConfig.from_dict(
-            {"delegation": False, "missed_rpc_limit": 5}, horizon=2.5
+        cfg = parse_config(
+            ControllerConfig,
+            {"delegation": False, "missed_rpc_limit": 5},
+            "controller",
+            horizon=2.5,
         )
         assert cfg.delegation is False
         assert cfg.missed_rpc_limit == 5
@@ -179,6 +186,26 @@ class TestCrashFailover:
         assert ctl["time_to_readopt_s"] is not None
         assert 0 < ctl["time_to_failover_s"] < 0.2
         assert 0 < ctl["time_to_readopt_s"] < 0.3
+
+    def test_example_delegation_invariant(self):
+        """The shipped example at seed 7: delegation on blackholes
+        nothing and records both timings; the same seed with delegation
+        off blackholes traffic."""
+        path = os.path.join(
+            os.path.dirname(__file__), os.pardir, os.pardir, "examples",
+            "chaos_controller.json",
+        )
+        with telemetry_session():
+            on = run_scenario(Scenario.load(path), seed=7)["controller"]
+        scenario = Scenario.load(path)
+        scenario.controller = {**scenario.controller, "delegation": False}
+        with telemetry_session():
+            off = run_scenario(scenario, seed=7)["controller"]
+        assert on["enabled"] and on["delegation"]
+        assert on["fecs_blackholed"] == 0, on["blackholed_fecs"]
+        assert on["time_to_failover_s"] is not None
+        assert on["time_to_readopt_s"] is not None
+        assert off["fecs_blackholed"] > 0
 
     def test_every_node_fails_over_and_readopts(self):
         ctl = _run(seed=7)["controller"]

@@ -12,6 +12,7 @@ from repro.control.overload import (
     ShedEntry,
     classify_message,
 )
+from repro.faults.scenario import ScenarioError, parse_config
 from repro.mpls.router import LSRNode, RouterRole
 from repro.net.events import EventScheduler
 from repro.net.topology import ring
@@ -65,23 +66,32 @@ class TestOverloadConfig:
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown overload key"):
-            OverloadConfig.from_dict({"enabled": True, "typo": 1})
+            parse_config(OverloadConfig, {"enabled": True, "typo": 1},
+                         "overload")
 
     def test_from_dict_casts_and_keeps_horizon(self):
-        cfg = OverloadConfig.from_dict(
+        cfg = parse_config(
+            OverloadConfig,
             {
                 "enabled": False,
-                "queue_capacity": "16",
+                "queue_capacity": 16,
                 "high_watermark": 12,
                 "low_watermark": 4,
-                "hold_time": "0.5",
+                "hold_time": 0.5,
             },
+            "overload",
             horizon=2.0,
         )
         assert cfg.enabled is False
         assert cfg.queue_capacity == 16
         assert cfg.hold_time == 0.5
         assert cfg.horizon == 2.0
+
+    def test_numeric_strings_are_not_cast(self):
+        # documents carry JSON numbers; "16" is a typed mistake
+        for raw in ({"queue_capacity": "16"}, {"hold_time": "0.5"}):
+            with pytest.raises(ScenarioError, match=r"overload\."):
+                parse_config(OverloadConfig, raw, "overload", horizon=2.0)
 
 
 class TestPriorityControlQueue:

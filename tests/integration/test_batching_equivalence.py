@@ -18,9 +18,9 @@ import os
 
 import pytest
 
-from repro.faults.chaos import build_run, summarize
+from repro.faults.chaos import build_run, run_scenario
 from repro.faults.scenario import Scenario
-from repro.obs import ListSink, get_telemetry, telemetry_session
+from repro.obs import telemetry_session
 from repro.obs.flows import flows_to_jsonl
 
 EXAMPLES_DIR = os.path.join(
@@ -57,31 +57,13 @@ CASES = [
 
 
 def _run(path, seed, batching):
-    """One scenario run; returns (report json, flow export, tables).
-
-    Mirrors ``run_scenario`` but keeps the live run object so the
-    final forwarding tables and the flow-accounting export can be
-    captured alongside the report.
-    """
-    scenario = Scenario.load(path)
+    """One ``repro chaos`` run; returns (report json, flow export,
+    tables), the tables and export read from ``report.run``."""
     with telemetry_session():
-        run = build_run(scenario, seed)
-        if batching:
-            run.network.enable_batching()
-        tel = get_telemetry()
-        sink = tel.events.add_sink(ListSink()) if tel.enabled else None
-        try:
-            processed = run.network.run(until=scenario.duration)
-        finally:
-            if sink is not None:
-                tel.events.remove_sink(sink)
-        run.injector.finalize()
-        if run.security is not None:
-            run.security.finalize()
-        if run.flows is not None:
-            run.flows.finalize()
-            run.flows.detach()
-        report = summarize(run, processed, sink)
+        report = run_scenario(
+            Scenario.load(path), seed=seed, batching=batching
+        )
+    run = report.run
     flows_export = None
     if run.flows is not None:
         buffer = io.StringIO()
@@ -98,6 +80,9 @@ def _run(path, seed, batching):
         }
         for name, node in run.network.nodes.items()
     }
+    if run.topo is not None:
+        # the observed topology must match ground truth in both modes
+        assert report["convergence"]["verified"] is True
     return report.to_json(), flows_export, tables
 
 

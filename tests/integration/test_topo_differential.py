@@ -64,7 +64,7 @@ def test_time_travel_reconstruction_is_byte_identical(name):
     scenario = _load_with_topo(name)
     with telemetry_session():
         report = run_scenario(scenario, seed=5)
-    observer = report.topo
+    observer = report.run.topo
     live = observer.live_view()
     replayed = observer.at(scenario.duration + 1.0)
     # full serialization, time stamp and derived health included
@@ -75,7 +75,7 @@ def test_mid_run_reconstruction_round_trips_through_snapshots():
     scenario = _load_with_topo("chaos_smoke.json")
     with telemetry_session():
         report = run_scenario(scenario, seed=3)
-    observer = report.topo
+    observer = report.run.topo
     assert len(observer.snapshots) > 1  # cadence actually exercised
     # every delta timestamp is a queryable instant; spot-check a spread
     times = observer._delta_times
@@ -113,7 +113,7 @@ def test_reports_without_topo_key_are_untouched():
         report = run_scenario(scenario, seed=3)
         assert tel.topo is None
     assert "convergence" not in report.data
-    assert report.topo is None
+    assert report.run.topo is None
     # the gated withdraw event must not leak into the events section
     assert "label-mapping-withdrawn" not in report.data.get("events", {})
 
@@ -122,7 +122,7 @@ def test_observer_not_armed_when_telemetry_disabled():
     scenario = _load_with_topo("chaos_smoke.json")
     with telemetry_session(enabled=False):
         report = run_scenario(scenario, seed=3)
-    assert report.topo is None
+    assert report.run.topo is None
     assert "convergence" not in report.data
 
 

@@ -294,11 +294,11 @@ def _export(seed):
         report = run_scenario(Scenario.from_dict(FLOW_SCENARIO), seed=seed)
     stream = io.StringIO()
     flows_to_jsonl(
-        report.flows.all_records(),
+        report.run.flows.all_records(),
         stream,
-        matrices=report.collector.matrices,
+        matrices=report.run.collector.matrices,
     )
-    return stream.getvalue(), matrices_to_json(report.collector.matrices)
+    return stream.getvalue(), matrices_to_json(report.run.collector.matrices)
 
 
 class TestExports:
